@@ -8,10 +8,11 @@
 //! Serves the synthetic SIPI suite (with repeats) and two synthetic video
 //! sequences through `hebs_runtime::Engine` in four configurations and
 //! prints wall-clock throughput, latency quantiles, cache hit rates,
-//! resident cache bytes, single-flight coalescing counts and fit-evaluation
-//! counts. Run with `--quick` for a fast smoke-test configuration, with
-//! `--check` to also verify the cache's contract (byte budget respected,
-//! single-flight collapses a miss storm into one fit, counters reconcile)
+//! resident cache bytes, single-flight coalescing counts, fit-evaluation
+//! counts and coarsening-DP solves per miss. Run with `--quick` for a fast
+//! smoke-test configuration, with `--check` to also verify the cache's
+//! contract (byte budget respected, single-flight collapses a miss storm
+//! into one fit, counters reconcile, at most 2 coarsening solves per miss)
 //! and exit nonzero on a violation, and with `--json <path>` to write the
 //! machine-readable results CI uploads as an artifact so the bench
 //! trajectory can be tracked across PRs.
@@ -68,6 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "rejected",
         "fit evals",
         "evals/miss",
+        "DP/miss",
         "fallbacks",
         "rechar",
         "saving",
@@ -89,6 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             row.cache_rejected.to_string(),
             row.fit_evaluations.to_string(),
             format!("{:.2}", row.fit_evaluations_per_miss()),
+            format!("{:.2}", row.coarsenings_per_miss()),
             row.open_loop_fallbacks.to_string(),
             row.recharacterizations.to_string(),
             format!("{:.1}%", row.mean_power_saving * 100.0),

@@ -132,6 +132,11 @@ pub fn runtime_throughput_json(
             "\"fit_evaluations_per_miss\": {}, ",
             number(row.fit_evaluations_per_miss())
         ));
+        out.push_str(&format!("\"coarsenings\": {}, ", row.coarsenings));
+        out.push_str(&format!(
+            "\"coarsenings_per_miss\": {}, ",
+            number(row.coarsenings_per_miss())
+        ));
         out.push_str(&format!(
             "\"open_loop_fallbacks\": {}, ",
             row.open_loop_fallbacks
@@ -450,6 +455,7 @@ mod tests {
             cache_rejected: 1,
             cache_misses: 19,
             fit_evaluations: 77,
+            coarsenings: 38,
             open_loop_fallbacks: 3,
             recharacterizations: 1,
             mean_power_saving: 0.41,
@@ -467,6 +473,7 @@ mod tests {
         };
         let json = runtime_throughput_json(0.10, 32, 16, &rows, Some(&mixed));
         assert!(json.contains("\"fit_evaluations\": 77"));
+        assert!(json.contains("\"coarsenings_per_miss\": 2"));
         assert!(json.contains("\"cache_misses\": 19"));
         assert!(json.contains("\"open_loop_fallbacks\": 3"));
         assert!(json.contains("\"recharacterizations\": 1"));

@@ -14,7 +14,7 @@
 //!
 //! * **fit evaluations per miss** — fail on any increase beyond a small
 //!   scheduler-noise guard band (default +5%): the counter that keeps the
-//!   open-loop (1 per miss) vs. closed-loop (~8 per miss) economics honest.
+//!   open-loop (1 per miss) vs. closed-loop (9 per miss) economics honest.
 //! * **p50 latency and throughput** — gated as ratios against the *same
 //!   run's* single-thread row per workload (default ±25%): machine speed
 //!   cancels, so a failure means the cache, the pool or the open-loop path

@@ -104,6 +104,7 @@ impl DlsPolicy {
             lut,
             displayed,
             fit_evaluations: 1,
+            coarsenings: 0,
         })
     }
 }
@@ -249,6 +250,7 @@ impl CbcsPolicy {
             lut: programmed.lut,
             displayed,
             fit_evaluations: 1,
+            coarsenings: 0,
         })
     }
 }

@@ -17,7 +17,8 @@ use crate::error::{HebsError, Result};
 use crate::fit::{fit_quantile_envelope, fit_upper_envelope, Polynomial};
 use crate::ghe::TargetRange;
 use crate::pipeline::{
-    evaluate_at_range_with_histogram, evaluate_range_from_histogram, PipelineConfig,
+    evaluate_at_range_partitioned, evaluate_range_partitioned, histogram_capable, FitScratch,
+    Partitions, PipelineConfig,
 };
 
 /// The quantile of the [`DistortionCharacteristic`]'s envelope fit: the
@@ -76,7 +77,8 @@ pub const DEFAULT_RANGES: [u32; 10] = [25, 50, 75, 100, 125, 150, 175, 200, 225,
 
 impl DistortionCharacteristic {
     /// Builds the characteristic by sweeping the given dynamic ranges over a
-    /// set of named benchmark images.
+    /// set of named benchmark images. Each image's coarsening partitions are
+    /// solved once and reused at every range.
     ///
     /// # Errors
     ///
@@ -88,17 +90,27 @@ impl DistortionCharacteristic {
         I: IntoIterator<Item = (&'a str, &'a GrayImage)>,
     {
         let mut samples = Vec::new();
+        let mut scratch = FitScratch::new();
         for (name, image) in images {
             let histogram = Histogram::of(image);
+            let partitions = Partitions::solve(config, &histogram)?;
             for &range in ranges {
                 let target = TargetRange::from_span(range)?;
-                let eval = evaluate_at_range_with_histogram(config, image, &histogram, target)?;
+                let eval = evaluate_at_range_partitioned(
+                    config,
+                    image,
+                    &histogram,
+                    target,
+                    &partitions,
+                    &mut scratch,
+                )?;
                 samples.push(CharacterizationSample {
                     image: name.to_string(),
                     dynamic_range: range,
                     distortion: eval.distortion,
                     power_saving: eval.power_saving,
                 });
+                scratch.recycle_output(eval.displayed);
             }
         }
         Self::from_samples(samples)
@@ -111,7 +123,8 @@ impl DistortionCharacteristic {
     /// that keeps a rolling sketch of recent traffic histograms can
     /// re-characterize in O(histograms × ranges × levels) without retaining
     /// a single frame. Requires a histogram-capable distortion measure (the
-    /// windowed paper default needs pixels and declines).
+    /// windowed paper default needs pixels and declines). Each histogram's
+    /// coarsening partitions are solved once and reused at every range.
     ///
     /// # Errors
     ///
@@ -127,15 +140,20 @@ impl DistortionCharacteristic {
     where
         I: IntoIterator<Item = &'a Histogram>,
     {
+        let incapable = || HebsError::HistogramIncapableMeasure {
+            measure: config.measure.name().to_string(),
+        };
         let mut samples = Vec::new();
         for (index, histogram) in histograms.into_iter().enumerate() {
+            // A windowed measure declines before paying for the solve.
+            if !histogram_capable(config, histogram) {
+                return Err(incapable());
+            }
+            let partitions = Partitions::solve(config, histogram)?;
             for &range in ranges {
                 let target = TargetRange::from_span(range)?;
-                let Some(eval) = evaluate_range_from_histogram(config, histogram, target)? else {
-                    return Err(HebsError::HistogramIncapableMeasure {
-                        measure: config.measure.name().to_string(),
-                    });
-                };
+                let eval = evaluate_range_partitioned(config, histogram, target, &partitions)?
+                    .ok_or_else(incapable)?;
                 samples.push(CharacterizationSample {
                     image: format!("sketch-{index}"),
                     dynamic_range: range,

@@ -24,13 +24,33 @@
 //! single fused LUT pass. Windowed measures (the paper's HVS + SSIM
 //! default) fall back to the pixel path, which evaluates candidates into a
 //! caller-provided [`FitScratch`] instead of allocating per candidate.
+//!
+//! # One coarsening partition per histogram
+//!
+//! Every candidate curve is `lo + span·shape(x)` with
+//! `shape = (1 − w)·x + w·CDF(x)`: the GHE of [`equalize`], the
+//! linear compression and their blend all share the histogram's shape
+//! and differ between target ranges only by the offset `lo` and the scale
+//! `span`. A chord error is a sum of squared vertical deviations, so the
+//! offset cancels and the scale factors out as `span²` — the Eq. 9 DP's
+//! optimal kept-index set depends on the histogram and the blend weight
+//! `w`, never on the target range. The pipeline therefore solves the DP
+//! once per blend candidate on the *normalised shape* (the span-256
+//! target, whose `lo = 0` and `span = 1`) and builds every target's coarse
+//! curve by selecting those indices from that target's curve
+//! ([`hebs_transform::plc::select`]). A closed-loop search's one full-range
+//! evaluation and eight bisection steps share that one solve per
+//! candidate. Where several partitions tie exactly, the one the DP picks
+//! on the normalised shape is used at every range, so float rounding at a
+//! particular span can never flip the choice.
 
 use std::sync::Arc;
 
 use hebs_display::{plrd::HierarchicalPlrd, DisplayResponse, LcdSubsystem, PowerBreakdown};
 use hebs_imaging::{GrayImage, Histogram};
 use hebs_quality::SharedMeasure;
-use hebs_transform::{coarsen, ControlPoint, LookupTable, PiecewiseLinear};
+use hebs_transform::plc::{kept_indices, select};
+use hebs_transform::{ControlPoint, LookupTable, PiecewiseLinear};
 
 use crate::error::Result;
 use crate::ghe::{equalize, TargetRange};
@@ -80,6 +100,91 @@ impl BlendCandidates {
     pub(crate) fn as_slice(&self) -> &[f64] {
         &self.values[..self.len]
     }
+}
+
+/// One PLC coarsening partition: bit `i` is set when control point `i` of
+/// the requested curve is kept. Pipeline curves have at most 256 control
+/// points (one per grayscale level).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct KeptSet([u64; 4]);
+
+impl KeptSet {
+    fn from_indices(indices: &[usize]) -> Self {
+        let mut bits = [0u64; 4];
+        for &i in indices {
+            bits[i / 64] |= 1 << (i % 64);
+        }
+        KeptSet(bits)
+    }
+
+    fn indices(self) -> impl Iterator<Item = usize> {
+        (0..256).filter(move |&i| self.0[i / 64] >> (i % 64) & 1 == 1)
+    }
+}
+
+/// The coarsening partition of every blend candidate for one histogram,
+/// solved once on the normalised shape (see the module docs) and reused by
+/// every target range a serve evaluates. Aligned with
+/// [`PipelineConfig::blend_candidates`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Partitions {
+    kept: [KeptSet; 3],
+    /// Coarsening DP solves it took (candidates whose curve already fits
+    /// the driver, such as the two-point linear compression, need none).
+    pub(crate) solves: u32,
+}
+
+impl Partitions {
+    /// Solves the partition of each of `config`'s blend candidates on the
+    /// histogram's normalised shape.
+    pub(crate) fn solve(config: &PipelineConfig, histogram: &Histogram) -> Result<Self> {
+        let (ghe, linear) = normalised_shape(histogram)?;
+        let mut partitions = Partitions {
+            kept: [KeptSet([0; 4]); 3],
+            solves: 0,
+        };
+        for (slot, &weight) in partitions
+            .kept
+            .iter_mut()
+            .zip(config.blend_candidates().as_slice())
+        {
+            let (kept, solved) = solve_partition(config, &ghe, &linear, weight)?;
+            *slot = kept;
+            partitions.solves += u32::from(solved);
+        }
+        Ok(partitions)
+    }
+}
+
+/// The span-256 GHE curve and linear compression of a histogram: the
+/// normalised shape every target's curves are affine images of.
+fn normalised_shape(histogram: &Histogram) -> Result<(PiecewiseLinear, PiecewiseLinear)> {
+    let full = TargetRange::from_span(256).expect("256 is a valid span");
+    Ok((
+        equalize(histogram, full)?.transform,
+        linear_compression(full),
+    ))
+}
+
+/// The driver's segment budget for coarsening.
+fn driver_segments(config: &PipelineConfig) -> usize {
+    config.segments.min(config.driver.max_segments()).max(1)
+}
+
+/// Solves one blend weight's partition on the normalised shape. Returns
+/// whether the coarsening DP ran (a curve that already fits the driver
+/// keeps every point without one).
+fn solve_partition(
+    config: &PipelineConfig,
+    ghe: &PiecewiseLinear,
+    linear: &PiecewiseLinear,
+    weight: f64,
+) -> Result<(KeptSet, bool)> {
+    let shape = blend_curves(linear, ghe, weight)?;
+    let segments = driver_segments(config);
+    let solved = shape.segment_count() > segments;
+    let kept = kept_indices(&shape, segments)?;
+    Ok((KeptSet::from_indices(&kept), solved))
 }
 
 /// Configuration of the HEBS pipeline: hardware models, segment budget and
@@ -280,9 +385,13 @@ pub struct Evaluation {
     pub power_saving: f64,
     /// Number of target-range fit evaluations performed to produce this
     /// value (each solves the GHE and arbitrates the blend candidates
-    /// internally; a closed-loop bisection performs ~8, an open-loop
-    /// lookup exactly 1).
+    /// internally; a closed-loop search performs 9 — the full range plus
+    /// 8 bisection steps — an open-loop lookup exactly 1).
     pub fit_evaluations: u32,
+    /// Number of PLC coarsening DP solves performed to produce this value:
+    /// at most one per blend candidate, however many target ranges were
+    /// evaluated (see the module docs).
+    pub coarsenings: u32,
 }
 
 impl Evaluation {
@@ -301,6 +410,7 @@ impl Evaluation {
             power: self.power,
             power_saving: self.power_saving,
             fit_evaluations: self.fit_evaluations,
+            coarsenings: self.coarsenings,
         }
     }
 
@@ -322,6 +432,7 @@ impl Evaluation {
             power: self.power,
             power_saving: self.power_saving,
             fit_evaluations: self.fit_evaluations,
+            coarsenings: self.coarsenings,
         }
     }
 }
@@ -345,6 +456,9 @@ pub struct RangeEvaluation {
     /// Number of target-range fit evaluations performed to produce this
     /// evaluation (0 for a pure replay of an existing transform).
     pub fit_evaluations: u32,
+    /// Number of PLC coarsening DP solves performed to produce this
+    /// evaluation (0 for a replay).
+    pub coarsenings: u32,
 }
 
 impl RangeEvaluation {
@@ -429,9 +543,31 @@ pub fn evaluate_at_range_scratch(
     target: TargetRange,
     scratch: &mut FitScratch,
 ) -> Result<RangeEvaluation> {
-    let (transform, distortion, evaluations) =
-        fit_range(config, histogram, target, Some((image, scratch)))?
-            .expect("the pixel fallback was supplied");
+    let partitions = Partitions::solve(config, histogram)?;
+    let mut evaluation =
+        evaluate_at_range_partitioned(config, image, histogram, target, &partitions, scratch)?;
+    evaluation.coarsenings = partitions.solves;
+    Ok(evaluation)
+}
+
+/// [`evaluate_at_range_scratch`] with the histogram's coarsening
+/// partitions already solved (reported as 0 coarsenings).
+pub(crate) fn evaluate_at_range_partitioned(
+    config: &PipelineConfig,
+    image: &GrayImage,
+    histogram: &Histogram,
+    target: TargetRange,
+    partitions: &Partitions,
+    scratch: &mut FitScratch,
+) -> Result<RangeEvaluation> {
+    let (transform, distortion) = fit_range(
+        config,
+        histogram,
+        target,
+        partitions,
+        Some((image, scratch)),
+    )?
+    .expect("the pixel fallback was supplied");
     let (power, power_saving) = power_from_histogram(config, histogram, &transform)?;
     let mut displayed = scratch.take_output();
     transform.response.apply_into(image, &mut displayed);
@@ -441,7 +577,8 @@ pub fn evaluate_at_range_scratch(
         distortion,
         power,
         power_saving,
-        fit_evaluations: evaluations,
+        fit_evaluations: 1,
+        coarsenings: 0,
     })
 }
 
@@ -462,7 +599,27 @@ pub fn evaluate_range_from_histogram(
     histogram: &Histogram,
     target: TargetRange,
 ) -> Result<Option<Evaluation>> {
-    let Some((transform, distortion, evaluations)) = fit_range(config, histogram, target, None)?
+    // A windowed measure declines before paying for the partition solve.
+    if !histogram_capable(config, histogram) {
+        return Ok(None);
+    }
+    let partitions = Partitions::solve(config, histogram)?;
+    let evaluation = evaluate_range_partitioned(config, histogram, target, &partitions)?;
+    Ok(evaluation.map(|evaluation| Evaluation {
+        coarsenings: partitions.solves,
+        ..evaluation
+    }))
+}
+
+/// [`evaluate_range_from_histogram`] with the histogram's coarsening
+/// partitions already solved (reported as 0 coarsenings).
+pub(crate) fn evaluate_range_partitioned(
+    config: &PipelineConfig,
+    histogram: &Histogram,
+    target: TargetRange,
+    partitions: &Partitions,
+) -> Result<Option<Evaluation>> {
+    let Some((transform, distortion)) = fit_range(config, histogram, target, partitions, None)?
     else {
         return Ok(None);
     };
@@ -472,7 +629,8 @@ pub fn evaluate_range_from_histogram(
         distortion,
         power,
         power_saving,
-        fit_evaluations: evaluations,
+        fit_evaluations: 1,
+        coarsenings: 0,
     }))
 }
 
@@ -504,17 +662,19 @@ pub fn evaluate_transform_from_histogram(
         power,
         power_saving,
         fit_evaluations: 0,
+        coarsenings: 0,
     }))
 }
 
 /// Fits every blend candidate for `(histogram, target)` and returns the
-/// winner `(transform, distortion, fit evaluations)`.
+/// winner `(transform, distortion)`, coarsening each candidate with its
+/// precomputed partition.
 ///
 /// One call is **one fit evaluation** — the unit `fit_evaluations` counts
-/// throughout the stack: a full closed-loop range search performs ~8 of
-/// these (one per bisection step), the open-loop table lookup exactly one.
-/// The blend candidates a single call arbitrates internally are part of
-/// that one evaluation, not separate ones.
+/// throughout the stack: a full closed-loop range search performs 9 of
+/// these (the full range, then one per bisection step), the open-loop
+/// table lookup exactly one. The blend candidates a single call arbitrates
+/// internally are part of that one evaluation, not separate ones.
 ///
 /// Distortion is measured in the histogram domain when the configured
 /// measure supports it; otherwise each candidate's displayed image is
@@ -525,16 +685,12 @@ fn fit_range(
     config: &PipelineConfig,
     histogram: &Histogram,
     target: TargetRange,
+    partitions: &Partitions,
     mut pixels: Option<(&GrayImage, &mut FitScratch)>,
-) -> Result<Option<(Arc<FrameTransform>, f64, u32)>> {
+) -> Result<Option<(Arc<FrameTransform>, f64)>> {
     // Probe measure capability before paying for any candidate fit: a
     // windowed measure with no pixel fallback declines immediately.
-    if pixels.is_none()
-        && config
-            .measure
-            .distortion_from_levels(histogram, &IDENTITY_LEVELS)
-            .is_none()
-    {
+    if pixels.is_none() && !histogram_capable(config, histogram) {
         return Ok(None);
     }
     // The GHE solve and the linear band curve depend only on the histogram
@@ -542,8 +698,13 @@ fn fit_range(
     let ghe = equalize(histogram, target)?;
     let linear = linear_compression(target);
     let mut best: Option<(Arc<FrameTransform>, f64)> = None;
-    for &weight in config.blend_candidates().as_slice() {
-        let transform = fit_blended(config, &ghe.transform, &linear, target, weight)?;
+    for (&weight, &kept) in config
+        .blend_candidates()
+        .as_slice()
+        .iter()
+        .zip(&partitions.kept)
+    {
+        let transform = fit_blended(config, &ghe.transform, &linear, target, weight, kept)?;
         let distortion = match config
             .measure
             .distortion_from_levels(histogram, transform.response.levels())
@@ -565,8 +726,17 @@ fn fit_range(
             best = Some((transform, distortion));
         }
     }
-    let (transform, distortion) = best.expect("at least one blend candidate is always evaluated");
-    Ok(Some((transform, distortion, 1)))
+    Ok(Some(best.expect(
+        "at least one blend candidate is always evaluated",
+    )))
+}
+
+/// Whether the configured measure evaluates `histogram` in level space.
+pub(crate) fn histogram_capable(config: &PipelineConfig, histogram: &Histogram) -> bool {
+    config
+        .measure
+        .distortion_from_levels(histogram, &IDENTITY_LEVELS)
+        .is_some()
 }
 
 /// Histogram-domain power accounting for one fitted transform: the scaled
@@ -589,25 +759,26 @@ fn power_from_histogram(
 }
 
 /// Blends an already-solved GHE curve with the linear compression and fits
-/// the result into the driver (coarsening + programming + response fusion).
+/// the result into the driver: coarsening by selecting the partition's
+/// kept points, programming, and response fusion.
 fn fit_blended(
     config: &PipelineConfig,
     ghe: &PiecewiseLinear,
     linear: &PiecewiseLinear,
     target: TargetRange,
     blend_weight: f64,
+    kept: KeptSet,
 ) -> Result<Arc<FrameTransform>> {
     let beta = target.backlight_factor();
     let requested = blend_curves(linear, ghe, blend_weight)?;
-    let segments = config.segments.min(config.driver.max_segments()).max(1);
-    let coarse = coarsen(&requested, segments)?;
-    let programmed = config.driver.program(&coarse.curve, beta)?;
+    let curve = select(&requested, kept.indices())?;
+    let programmed = config.driver.program(&curve, beta)?;
     let response = config.subsystem.response(&programmed.lut, beta)?;
     Ok(Arc::new(FrameTransform {
         target,
         beta,
         blend_weight,
-        curve: coarse.curve,
+        curve,
         lut: programmed.lut,
         response,
     }))
@@ -634,9 +805,11 @@ pub fn fit_transform(
     target: TargetRange,
     blend_weight: f64,
 ) -> Result<Arc<FrameTransform>> {
+    let (shape_ghe, shape_linear) = normalised_shape(histogram)?;
+    let (kept, _) = solve_partition(config, &shape_ghe, &shape_linear, blend_weight)?;
     let ghe = equalize(histogram, target)?;
     let linear = linear_compression(target);
-    fit_blended(config, &ghe.transform, &linear, target, blend_weight)
+    fit_blended(config, &ghe.transform, &linear, target, blend_weight, kept)
 }
 
 /// Applies an already-fitted transformation to a frame and measures what the
@@ -707,6 +880,7 @@ pub fn apply_transform_with_histogram_scratch(
         power,
         power_saving,
         fit_evaluations: 0,
+        coarsenings: 0,
     })
 }
 
@@ -758,8 +932,9 @@ fn blend_curves(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hebs_imaging::synthetic;
+    use hebs_imaging::{synthetic, SipiSuite};
     use hebs_quality::GlobalUiqiDistortion;
+    use hebs_transform::coarsen;
 
     fn small_config() -> PipelineConfig {
         PipelineConfig::default()
@@ -819,7 +994,7 @@ mod tests {
             );
             // The adaptive blend arbitrates its candidates *inside* one
             // evaluation: the counter ticks per target range, not per
-            // candidate, so open-loop (1) vs closed-loop (~8) comparisons
+            // candidate, so open-loop (1) vs closed-loop (9) comparisons
             // are blend-mode independent.
             assert_eq!(a.fit_evaluations, 1, "one range fitted, one evaluation");
         }
@@ -983,6 +1158,115 @@ mod tests {
         let applied = apply_transform_with_histogram(&config, &img, &hist, &transform).unwrap();
         assert_eq!(level_space.distortion, applied.distortion);
         assert_eq!(level_space.power_saving, applied.power_saving);
+    }
+
+    /// The requested (pre-coarsening) curve of one blend weight at `target`.
+    fn requested_curve(histogram: &Histogram, target: TargetRange, weight: f64) -> PiecewiseLinear {
+        let ghe = equalize(histogram, target).unwrap().transform;
+        blend_curves(&linear_compression(target), &ghe, weight).unwrap()
+    }
+
+    /// The Eq. 9 objective of keeping `kept` points of `curve`, summed
+    /// directly over the skipped points, so every partition compared is
+    /// measured the same way.
+    fn partition_error(curve: &PiecewiseLinear, kept: &[usize]) -> f64 {
+        let points = curve.points();
+        kept.windows(2)
+            .map(|pair| {
+                let (a, b) = (points[pair[0]], points[pair[1]]);
+                points[pair[0] + 1..pair[1]]
+                    .iter()
+                    .map(|p| {
+                        let chord = a.y + (p.x - a.x) / (b.x - a.x) * (b.y - a.y);
+                        (p.y - chord) * (p.y - chord)
+                    })
+                    .sum::<f64>()
+            })
+            .sum()
+    }
+
+    #[test]
+    fn the_normalised_partition_is_optimal_at_every_span() {
+        // The oracle of the partition reuse: on every suite image and on
+        // 1080p frames, for both blend weights that need the DP, the
+        // partition solved once on the span-256 shape costs what a fresh
+        // per-target coarsening costs, at every span the search can try.
+        let config = PipelineConfig::default();
+        let segments = driver_segments(&config);
+        let mut histograms: Vec<Histogram> = SipiSuite::with_size(128)
+            .entries()
+            .iter()
+            .map(|(_, image)| Histogram::of(image))
+            .collect();
+        histograms.extend(
+            [
+                synthetic::portrait(1920, 1080, 51),
+                synthetic::landscape(1920, 1080, 52),
+                synthetic::high_key(1920, 1080, 53),
+            ]
+            .iter()
+            .map(Histogram::of),
+        );
+        for (index, histogram) in histograms.iter().enumerate() {
+            let (ghe, linear) = normalised_shape(histogram).unwrap();
+            for weight in [0.5, 1.0] {
+                let (kept, solved) = solve_partition(&config, &ghe, &linear, weight).unwrap();
+                assert!(solved, "a 256-point curve needs the DP");
+                let kept: Vec<usize> = kept.indices().collect();
+                for span in 2..=256 {
+                    let target = TargetRange::from_span(span).unwrap();
+                    let requested = requested_curve(histogram, target, weight);
+                    let per_target = coarsen(&requested, segments).unwrap().kept_indices;
+                    let optimum = partition_error(&requested, &per_target);
+                    let reused = partition_error(&requested, &kept);
+                    assert!(
+                        (reused - optimum).abs() <= 1e-12 * optimum,
+                        "histogram {index} w {weight} span {span}: reused {reused:e} \
+                         vs per-target {optimum:e}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn exact_ties_keep_the_normalised_partition_at_every_span() {
+        // Two flat-density halves make the pure-GHE curve two exact line
+        // pieces: every partition that keeps level 127 has zero error, and
+        // float rounding breaks that tie differently from span to span.
+        // The fit must keep the span-256 choice throughout.
+        let counts = std::array::from_fn(|level| if level < 128 { 1 } else { 3 });
+        let histogram = Histogram::from_counts(counts);
+        let config = PipelineConfig::paper().with_measure(GlobalUiqiDistortion);
+        let segments = driver_segments(&config);
+        let full = TargetRange::from_span(256).unwrap();
+        let normalised = coarsen(&requested_curve(&histogram, full, 1.0), segments)
+            .unwrap()
+            .kept_indices;
+        let mut tie_flips = 0;
+        for span in 2..=256 {
+            let target = TargetRange::from_span(span).unwrap();
+            let per_target = coarsen(&requested_curve(&histogram, target, 1.0), segments)
+                .unwrap()
+                .kept_indices;
+            tie_flips += usize::from(per_target != normalised);
+            let evaluated = evaluate_range_from_histogram(&config, &histogram, target)
+                .unwrap()
+                .expect("global UIQI is histogram-capable");
+            for transform in [
+                &evaluated.transform,
+                &fit_transform(&config, &histogram, target, 1.0).unwrap(),
+            ] {
+                let kept: Vec<usize> = transform
+                    .curve
+                    .points()
+                    .iter()
+                    .map(|p| (p.x * 255.0).round() as usize)
+                    .collect();
+                assert_eq!(kept, normalised, "span {span}");
+            }
+        }
+        assert!(tie_flips > 0, "the histogram must exercise a tie");
     }
 
     #[test]

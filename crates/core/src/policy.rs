@@ -13,6 +13,9 @@
 //! regardless of frame size — and the frame is touched exactly once, by
 //! the final fused apply. Windowed measures fall back to the pixel path,
 //! whose intermediate candidate images go into a reusable [`FitScratch`].
+//! Either way, every serve solves the PLC coarsening DP once per blend
+//! candidate and reuses that partition at every range it tries (see
+//! [`crate::pipeline`]).
 
 use std::sync::Arc;
 
@@ -24,9 +27,9 @@ use crate::characterize::{CurveFit, DistortionCharacteristic};
 use crate::error::{HebsError, Result};
 use crate::ghe::TargetRange;
 use crate::pipeline::{
-    apply_transform_with_histogram_scratch, evaluate_at_range_scratch,
-    evaluate_range_from_histogram, evaluate_transform_from_histogram, Evaluation, FitScratch,
-    FrameTransform, PipelineConfig, RangeEvaluation,
+    apply_transform_with_histogram_scratch, evaluate_at_range_partitioned,
+    evaluate_range_partitioned, evaluate_transform_from_histogram, Evaluation, FitScratch,
+    FrameTransform, Partitions, PipelineConfig, RangeEvaluation,
 };
 
 /// The outcome of running a backlight scaling policy on one image.
@@ -50,9 +53,15 @@ pub struct ScalingOutcome {
     /// The luminance image the display emits.
     pub displayed: GrayImage,
     /// Number of target-range fit evaluations the policy performed to
-    /// produce this outcome: ~8 for a closed-loop search, 1 for an
-    /// open-loop lookup, 0 when a cached transform was replayed.
+    /// produce this outcome: 9 for a closed-loop search (the full range
+    /// plus 8 bisection steps), 1 for an open-loop lookup, 0 when a cached
+    /// transform was replayed.
     pub fit_evaluations: u32,
+    /// Number of PLC coarsening DP solves the policy performed: one per
+    /// blend candidate that needs coarsening (2 for the adaptive blend, 1
+    /// for pure GHE) whatever the number of fit evaluations, 0 for the
+    /// baselines and for a replayed transform.
+    pub coarsenings: u32,
 }
 
 impl ScalingOutcome {
@@ -67,6 +76,7 @@ impl ScalingOutcome {
             power_saving: eval.power_saving,
             lut: eval.lut().clone(),
             fit_evaluations: eval.fit_evaluations,
+            coarsenings: eval.coarsenings,
             displayed: eval.displayed,
         }
     }
@@ -202,10 +212,11 @@ impl HebsPolicy {
         image: &GrayImage,
         histogram: &Histogram,
         range: u32,
+        partitions: &Partitions,
         scratch: &mut FitScratch,
     ) -> Result<RangeEvaluation> {
         let target = TargetRange::from_span(range)?;
-        evaluate_at_range_scratch(&self.config, image, histogram, target, scratch)
+        evaluate_at_range_partitioned(&self.config, image, histogram, target, partitions, scratch)
     }
 
     /// Closed-loop search: the smallest range whose measured distortion is
@@ -220,17 +231,25 @@ impl HebsPolicy {
         image: &GrayImage,
         histogram: &Histogram,
         max_distortion: f64,
+        partitions: &Partitions,
         scratch: &mut FitScratch,
     ) -> Result<RangeEvaluation> {
         let full_target = TargetRange::from_span(256).expect("256 is a valid span");
-        if let Some(full) = evaluate_range_from_histogram(&self.config, histogram, full_target)? {
-            if let Some(found) =
-                self.search_range_level_space(image, histogram, max_distortion, full, scratch)?
-            {
+        if let Some(full) =
+            evaluate_range_partitioned(&self.config, histogram, full_target, partitions)?
+        {
+            if let Some(found) = self.search_range_level_space(
+                image,
+                histogram,
+                max_distortion,
+                full,
+                partitions,
+                scratch,
+            )? {
                 return Ok(found);
             }
         }
-        self.search_range_pixel_space(image, histogram, max_distortion, scratch)
+        self.search_range_pixel_space(image, histogram, max_distortion, partitions, scratch)
     }
 
     /// The O(levels) bisection: every step is a histogram-domain fit; the
@@ -246,6 +265,7 @@ impl HebsPolicy {
         histogram: &Histogram,
         max_distortion: f64,
         full: Evaluation,
+        partitions: &Partitions,
         scratch: &mut FitScratch,
     ) -> Result<Option<RangeEvaluation>> {
         let mut total_evaluations = full.fit_evaluations;
@@ -262,7 +282,9 @@ impl HebsPolicy {
         while lo < hi {
             let mid = (lo + hi) / 2;
             let target = TargetRange::from_span(mid)?;
-            let Some(eval) = evaluate_range_from_histogram(&self.config, histogram, target)? else {
+            let Some(eval) =
+                evaluate_range_partitioned(&self.config, histogram, target, partitions)?
+            else {
                 return Ok(None);
             };
             total_evaluations += eval.fit_evaluations;
@@ -284,9 +306,10 @@ impl HebsPolicy {
         image: &GrayImage,
         histogram: &Histogram,
         max_distortion: f64,
+        partitions: &Partitions,
         scratch: &mut FitScratch,
     ) -> Result<RangeEvaluation> {
-        let full = self.evaluate(image, histogram, 256, scratch)?;
+        let full = self.evaluate(image, histogram, 256, partitions, scratch)?;
         let mut total_evaluations = full.fit_evaluations;
         if full.distortion > max_distortion {
             return Ok(full);
@@ -296,7 +319,7 @@ impl HebsPolicy {
         let mut best = full;
         while lo < hi {
             let mid = (lo + hi) / 2;
-            let eval = self.evaluate(image, histogram, mid, scratch)?;
+            let eval = self.evaluate(image, histogram, mid, partitions, scratch)?;
             total_evaluations += eval.fit_evaluations;
             if eval.distortion <= max_distortion {
                 hi = mid;
@@ -327,18 +350,23 @@ impl HebsPolicy {
                 value: max_distortion,
             });
         }
-        match &self.selection {
+        // One coarsening solve per blend candidate for the whole serve:
+        // every range evaluated below reuses it.
+        let partitions = Partitions::solve(&self.config, histogram)?;
+        let mut evaluation = match &self.selection {
             RangeSelection::ClosedLoop => {
-                self.search_range(image, histogram, max_distortion, scratch)
+                self.search_range(image, histogram, max_distortion, &partitions, scratch)?
             }
             RangeSelection::Characteristic { curve, fit } => {
                 // When even the full range is predicted to exceed the budget
                 // the characteristic cannot help; fall back to the widest
                 // (least distorting) range rather than refusing to display.
                 let range = curve.min_range_for_fit(max_distortion, *fit).unwrap_or(256);
-                self.evaluate(image, histogram, range.max(2), scratch)
+                self.evaluate(image, histogram, range.max(2), &partitions, scratch)?
             }
-        }
+        };
+        evaluation.coarsenings = partitions.solves;
+        Ok(evaluation)
     }
 
     /// Like [`BacklightPolicy::optimize`], but writes intermediate pixel
@@ -749,6 +777,45 @@ mod tests {
             .expect("fit satisfies its own budget");
         assert_eq!(accepted.distortion, loose.distortion);
         assert_eq!(accepted.displayed, loose.displayed);
+    }
+
+    #[test]
+    fn every_search_path_solves_the_coarsening_once_per_candidate() {
+        let img = test_image();
+        let level = PipelineConfig::default().with_measure(GlobalUiqiDistortion);
+        let linear = PipelineConfig {
+            blend: crate::BlendMode::Fixed(0.0),
+            ..level.clone()
+        };
+        for (config, solves) in [
+            (level, 2),                     // level-space bisection
+            (PipelineConfig::default(), 2), // pixel-space bisection
+            (PipelineConfig::paper(), 1),   // pure GHE
+            (linear, 0),                    // a two-point line fits as is
+        ] {
+            let outcome = HebsPolicy::closed_loop(config)
+                .optimize(&img, 0.10)
+                .unwrap();
+            assert_eq!(
+                outcome.coarsenings, solves,
+                "{} fit evaluations",
+                outcome.fit_evaluations
+            );
+        }
+
+        let config = PipelineConfig::default().with_measure(GlobalUiqiDistortion);
+        let suite = [("a".to_string(), synthetic::portrait(48, 48, 42))];
+        let characteristic = DistortionCharacteristic::characterize(
+            &config,
+            suite.iter().map(|(n, i)| (n.as_str(), i)),
+            &[80, 160, 240],
+        )
+        .unwrap();
+        let open = HebsPolicy::open_loop(config, characteristic, false);
+        let (outcome, transform) = open.optimize_with_transform(&img, 0.15).unwrap();
+        assert_eq!((outcome.fit_evaluations, outcome.coarsenings), (1, 2));
+        let replayed = open.apply_frame_transform(&img, &transform).unwrap();
+        assert_eq!(replayed.coarsenings, 0, "a replay solves nothing");
     }
 
     #[test]

@@ -47,7 +47,7 @@ use crate::snapshot::{
     self, ApproxSpillRecord, BankRecord, CacheRecord, ClassRecord, ExactSpillRecord, OutcomeRecord,
     RestoreReport, SampleRecord, SnapshotError,
 };
-use crate::stats::{EngineStats, ServeKind, StatsCollector};
+use crate::stats::{EngineStats, FitWork, ServeKind, StatsCollector};
 
 /// Upper bound on configurable content classes (the class id is a `u16` in
 /// every cache key; 256 is far beyond any useful clustering of 32-bin
@@ -260,14 +260,14 @@ struct EngineInner {
 
 /// The result of one trip through `EngineInner::serve`: the outcome (or the
 /// pipeline error), how the cache was involved, how many cached candidates
-/// were rejected by verification along the way, how many candidate fits
-/// were evaluated (0 on a replay), and whether the open-loop drift check
-/// fell back to the closed-loop search.
+/// were rejected by verification along the way, the fitting work it did
+/// (none on a replay), and whether the open-loop drift check fell back to
+/// the closed-loop search.
 struct Served {
     outcome: std::result::Result<Arc<ScalingOutcome>, HebsError>,
     kind: ServeKind,
     rejections: u64,
-    fit_evaluations: u64,
+    work: FitWork,
     open_loop_fallback: bool,
     /// The serve ran past its deadline and served the installed curve's
     /// over-budget fit instead of the closed-loop drift recheck.
@@ -358,12 +358,14 @@ impl EngineInner {
             // Honour the budget through the closed-loop search and let the
             // caller feed the drift trigger. The discarded open-loop
             // frame's buffer goes back to the scratch for the refit.
-            let open_evaluations = outcome.fit_evaluations;
+            let (open_evaluations, open_coarsenings) =
+                (outcome.fit_evaluations, outcome.coarsenings);
             scratch.recycle_output(outcome.displayed);
             let (mut outcome, transform) = self
                 .policy
                 .optimize_with_transform_using_histogram(frame, histogram, budget, scratch)?;
             outcome.fit_evaluations += open_evaluations;
+            outcome.coarsenings += open_coarsenings;
             return Ok(Fitted {
                 outcome,
                 transform,
@@ -424,7 +426,7 @@ impl EngineInner {
         match self.cache.as_deref() {
             None => match self.fit(frame, &histogram, budget, curve, deadline, scratch) {
                 Ok(fitted) => Served {
-                    fit_evaluations: u64::from(fitted.outcome.fit_evaluations),
+                    work: FitWork::of(&fitted.outcome),
                     outcome: Ok(Arc::new(fitted.outcome)),
                     kind: ServeKind::Uncached,
                     rejections: 0,
@@ -437,7 +439,7 @@ impl EngineInner {
                     outcome: Err(err),
                     kind: ServeKind::Uncached,
                     rejections: 0,
-                    fit_evaluations: 0,
+                    work: FitWork::NONE,
                     open_loop_fallback: false,
                     deadline_degraded: false,
                     class,
@@ -501,7 +503,7 @@ impl EngineInner {
                     outcome: Ok(entry.outcome),
                     kind: ServeKind::Hit,
                     rejections,
-                    fit_evaluations: 0,
+                    work: FitWork::NONE,
                     open_loop_fallback: false,
                     deadline_degraded: false,
                     class,
@@ -530,7 +532,7 @@ impl EngineInner {
                     outcome: Ok(entry.outcome),
                     kind: ServeKind::CoalescedHit,
                     rejections,
-                    fit_evaluations: 0,
+                    work: FitWork::NONE,
                     open_loop_fallback: false,
                     deadline_degraded: false,
                     class,
@@ -547,7 +549,7 @@ impl EngineInner {
                     outcome: Err(err),
                     kind: ServeKind::Miss,
                     rejections,
-                    fit_evaluations: 0,
+                    work: FitWork::NONE,
                     open_loop_fallback: false,
                     deadline_degraded: false,
                     class,
@@ -555,7 +557,7 @@ impl EngineInner {
                 }
             }
         };
-        let fit_evaluations = u64::from(fitted.outcome.fit_evaluations);
+        let work = FitWork::of(&fitted.outcome);
         let outcome = Arc::new(fitted.outcome);
         // A deadline-degraded fit is over budget for its band: caching it
         // would poison the key for every on-time request, so it serves this
@@ -569,7 +571,7 @@ impl EngineInner {
             outcome: Ok(outcome),
             kind: ServeKind::Miss,
             rejections,
-            fit_evaluations,
+            work,
             open_loop_fallback: fitted.open_loop_fallback,
             deadline_degraded: fitted.deadline_degraded,
             class,
@@ -661,7 +663,7 @@ impl EngineInner {
                         outcome: Ok(Arc::new(outcome)),
                         kind: ServeKind::Hit,
                         rejections,
-                        fit_evaluations: 0,
+                        work: FitWork::NONE,
                         open_loop_fallback: false,
                         deadline_degraded: false,
                         class,
@@ -674,7 +676,7 @@ impl EngineInner {
                         outcome: Err(err),
                         kind: ServeKind::Miss,
                         rejections,
-                        fit_evaluations: 0,
+                        work: FitWork::NONE,
                         open_loop_fallback: false,
                         deadline_degraded: false,
                         class,
@@ -701,7 +703,7 @@ impl EngineInner {
                         outcome: Ok(Arc::new(outcome)),
                         kind: ServeKind::CoalescedHit,
                         rejections,
-                        fit_evaluations: 0,
+                        work: FitWork::NONE,
                         open_loop_fallback: false,
                         deadline_degraded: false,
                         class,
@@ -714,7 +716,7 @@ impl EngineInner {
                         outcome: Err(err),
                         kind: ServeKind::Miss,
                         rejections,
-                        fit_evaluations: 0,
+                        work: FitWork::NONE,
                         open_loop_fallback: false,
                         deadline_degraded: false,
                         class,
@@ -730,7 +732,7 @@ impl EngineInner {
                     outcome: Err(err),
                     kind: ServeKind::Miss,
                     rejections,
-                    fit_evaluations: 0,
+                    work: FitWork::NONE,
                     open_loop_fallback: false,
                     deadline_degraded: false,
                     class,
@@ -738,7 +740,7 @@ impl EngineInner {
                 }
             }
         };
-        let fit_evaluations = u64::from(fitted.outcome.fit_evaluations);
+        let work = FitWork::of(&fitted.outcome);
         // As in the exact mode, a deadline-degraded transform is over
         // budget for its band and must not be cached.
         if !fitted.deadline_degraded {
@@ -751,7 +753,7 @@ impl EngineInner {
             outcome: Ok(Arc::new(fitted.outcome)),
             kind: ServeKind::Miss,
             rejections,
-            fit_evaluations,
+            work,
             open_loop_fallback: fitted.open_loop_fallback,
             deadline_degraded: fitted.deadline_degraded,
             class,
@@ -779,7 +781,7 @@ impl EngineInner {
             latency,
             served.kind,
             served.rejections,
-            served.fit_evaluations,
+            served.work,
             served.open_loop_fallback,
             served.deadline_degraded,
         );
@@ -1856,6 +1858,9 @@ fn rebuild_outcome(record: OutcomeRecord) -> Option<ScalingOutcome> {
         lut: LookupTable::from_entries(record.lut),
         displayed,
         fit_evaluations: record.fit_evaluations,
+        // Not part of the snapshot schema: a restored entry is only ever
+        // replayed, and the engine counts no fitting work for a replay.
+        coarsenings: 0,
     })
 }
 
@@ -2649,6 +2654,50 @@ mod tests {
             after_miss,
             "replays run no fits"
         );
+    }
+
+    #[test]
+    fn a_miss_solves_the_coarsening_once_per_blend_candidate() {
+        use crate::{RecharacterizePolicy, ServingMode};
+        let frame = synthetic::portrait(32, 32, 5);
+        // Adaptive blend: w = 0.5 and w = 1.0 need the DP (the two-point
+        // linear w = 0 does not), solved once for the whole range search.
+        let adaptive = engine(EngineConfig {
+            workers: 1,
+            ..EngineConfig::default()
+        });
+        adaptive.process_frame(&frame).unwrap();
+        let stats = adaptive.stats();
+        assert!(stats.fit_evaluations >= 8, "a full bisection ran");
+        assert_eq!(stats.coarsenings, 2);
+        adaptive.process_frame(&frame).unwrap();
+        assert_eq!(adaptive.stats().coarsenings, 2, "an exact hit solves none");
+
+        let paper = Engine::new(
+            HebsPolicy::closed_loop(PipelineConfig::paper()),
+            EngineConfig {
+                workers: 1,
+                ..EngineConfig::default()
+            },
+        )
+        .unwrap();
+        paper.process_frame(&frame).unwrap();
+        assert_eq!(paper.stats().coarsenings, 1, "pure GHE is one candidate");
+
+        let open = engine(EngineConfig {
+            workers: 1,
+            max_distortion: 0.06,
+            mode: ServingMode::OpenLoop {
+                recharacterize: RecharacterizePolicy::default(),
+            },
+            ..EngineConfig::default()
+        });
+        open.install_characteristic(synthetic_curve(0.0)).unwrap();
+        open.process_frame(&frame).unwrap();
+        let stats = open.stats();
+        assert_eq!(stats.open_loop_fallbacks, 0);
+        assert_eq!(stats.fit_evaluations, 1);
+        assert_eq!(stats.coarsenings, 2, "an open-loop miss solves the same 2");
     }
 
     #[test]

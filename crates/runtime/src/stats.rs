@@ -3,6 +3,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use hebs_core::ScalingOutcome;
+
 /// How one frame was served relative to the transformation cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ServeKind {
@@ -24,6 +26,30 @@ impl ServeKind {
     }
 }
 
+/// The fitting work one serve performed: target-range fit evaluations and
+/// PLC coarsening DP solves (both 0 when the serve replayed a cached fit).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FitWork {
+    pub(crate) evaluations: u64,
+    pub(crate) coarsenings: u64,
+}
+
+impl FitWork {
+    /// No fitting: a cache replay, or a fit that failed.
+    pub(crate) const NONE: FitWork = FitWork {
+        evaluations: 0,
+        coarsenings: 0,
+    };
+
+    /// The work that produced a freshly fitted outcome.
+    pub(crate) fn of(outcome: &ScalingOutcome) -> Self {
+        FitWork {
+            evaluations: u64::from(outcome.fit_evaluations),
+            coarsenings: u64::from(outcome.coarsenings),
+        }
+    }
+}
+
 /// Cumulative counters shared by all workers of an engine.
 ///
 /// All increments and snapshot loads are `Relaxed`: each counter is an
@@ -37,6 +63,7 @@ pub(crate) struct StatsCollector {
     cache_coalesced: AtomicU64,
     cache_rejected: AtomicU64,
     fit_evaluations: AtomicU64,
+    coarsenings: AtomicU64,
     open_loop_fallbacks: AtomicU64,
     recharacterizations: AtomicU64,
     deadline_degraded: AtomicU64,
@@ -52,16 +79,20 @@ impl StatsCollector {
         latency: Duration,
         kind: ServeKind,
         rejections: u64,
-        fit_evaluations: u64,
+        work: FitWork,
         open_loop_fallback: bool,
         deadline_degraded: bool,
     ) {
         self.frames.fetch_add(1, Ordering::Relaxed); // ordering: monotonic tally, nothing published
         self.busy_nanos
             .fetch_add(latency.as_nanos() as u64, Ordering::Relaxed); // ordering: monotonic tally, nothing published
-        if fit_evaluations > 0 {
+        if work.evaluations > 0 {
             self.fit_evaluations
-                .fetch_add(fit_evaluations, Ordering::Relaxed); // ordering: monotonic tally, nothing published
+                .fetch_add(work.evaluations, Ordering::Relaxed); // ordering: monotonic tally, nothing published
+        }
+        if work.coarsenings > 0 {
+            self.coarsenings
+                .fetch_add(work.coarsenings, Ordering::Relaxed); // ordering: monotonic tally, nothing published
         }
         if open_loop_fallback {
             self.open_loop_fallbacks.fetch_add(1, Ordering::Relaxed); // ordering: monotonic tally, nothing published
@@ -127,6 +158,7 @@ impl StatsCollector {
             cache_rejected: self.cache_rejected.load(Ordering::Relaxed), // ordering: advisory snapshot
             cache_bytes: 0,
             fit_evaluations: self.fit_evaluations.load(Ordering::Relaxed), // ordering: advisory snapshot
+            coarsenings: self.coarsenings.load(Ordering::Relaxed), // ordering: advisory snapshot
             open_loop_fallbacks: self.open_loop_fallbacks.load(Ordering::Relaxed), // ordering: advisory snapshot
             recharacterizations: self.recharacterizations.load(Ordering::Relaxed), // ordering: advisory snapshot
             deadline_degraded: self.deadline_degraded.load(Ordering::Relaxed), // ordering: advisory snapshot
@@ -164,11 +196,18 @@ pub struct EngineStats {
     /// Target-range fit evaluations across all served frames: each range
     /// fitted during a search counts once (the blend candidates it
     /// arbitrates internally are part of that one evaluation); cache
-    /// replays count zero. A closed-loop miss bisects through ~8 of these,
-    /// an open-loop miss performs exactly 1 (plus a closed-loop search when
-    /// the drift check falls back) — this counter is what the throughput
-    /// bench gates on across PRs to keep both honest.
+    /// replays count zero. A closed-loop miss performs 9 of these (the
+    /// full range plus 8 bisection steps), an open-loop miss exactly 1
+    /// (plus a closed-loop search when the drift check falls back) — this
+    /// counter is what the throughput bench gates on across PRs to keep
+    /// both honest.
     pub fit_evaluations: u64,
+    /// PLC coarsening DP solves across all served frames. A fit solves the
+    /// DP once per blend candidate that needs coarsening and reuses the
+    /// partition at every target range it evaluates, so a closed-loop or
+    /// open-loop miss costs at most 2 (adaptive blend) whatever its
+    /// `fit_evaluations`, a drift fallback 2 more, and a replay none.
+    pub coarsenings: u64,
     /// Frames whose open-loop fit exceeded the distortion budget and were
     /// re-served through the closed-loop search (the per-serve drift
     /// check). Always 0 in closed-loop mode.
@@ -241,15 +280,31 @@ impl EngineStats {
 mod tests {
     use super::*;
 
+    /// A fit's work: `evaluations` ranges sharing one adaptive-blend
+    /// partition solve (2 coarsenings).
+    fn work(evaluations: u64) -> FitWork {
+        FitWork {
+            evaluations,
+            coarsenings: 2,
+        }
+    }
+
     #[test]
     fn collector_accumulates_and_snapshots() {
         let collector = StatsCollector::default();
-        collector.record_frame(Duration::from_millis(2), ServeKind::Hit, 0, 0, false, false);
+        collector.record_frame(
+            Duration::from_millis(2),
+            ServeKind::Hit,
+            0,
+            FitWork::NONE,
+            false,
+            false,
+        );
         collector.record_frame(
             Duration::from_millis(4),
             ServeKind::Miss,
             0,
-            11,
+            work(11),
             false,
             false,
         );
@@ -257,7 +312,7 @@ mod tests {
             Duration::from_millis(6),
             ServeKind::Uncached,
             0,
-            24,
+            work(24),
             false,
             false,
         );
@@ -269,6 +324,7 @@ mod tests {
         assert_eq!(stats.mean_latency(), Duration::from_millis(4));
         assert!((stats.cache_hit_rate() - 0.5).abs() < 1e-12);
         assert_eq!(stats.fit_evaluations, 35, "fit evaluations accumulate");
+        assert_eq!(stats.coarsenings, 4, "coarsenings accumulate per fit");
     }
 
     #[test]
@@ -278,7 +334,7 @@ mod tests {
             Duration::from_millis(1),
             ServeKind::CoalescedHit,
             0,
-            0,
+            FitWork::NONE,
             false,
             false,
         );
@@ -286,7 +342,7 @@ mod tests {
             Duration::from_millis(1),
             ServeKind::Miss,
             1,
-            3,
+            work(3),
             false,
             false,
         );
@@ -294,7 +350,7 @@ mod tests {
             Duration::from_millis(1),
             ServeKind::CoalescedHit,
             1,
-            0,
+            FitWork::NONE,
             false,
             false,
         );
@@ -312,11 +368,18 @@ mod tests {
             Duration::from_millis(1),
             ServeKind::Miss,
             0,
-            1,
+            work(1),
             false,
             false,
         );
-        collector.record_frame(Duration::from_millis(1), ServeKind::Miss, 0, 9, true, false);
+        collector.record_frame(
+            Duration::from_millis(1),
+            ServeKind::Miss,
+            0,
+            work(9),
+            true,
+            false,
+        );
         collector.record_recharacterization();
         let stats = collector.snapshot();
         assert_eq!(stats.open_loop_fallbacks, 1);
@@ -327,8 +390,22 @@ mod tests {
     #[test]
     fn deadline_and_shed_counters_accumulate() {
         let collector = StatsCollector::default();
-        collector.record_frame(Duration::from_millis(1), ServeKind::Miss, 0, 1, false, true);
-        collector.record_frame(Duration::from_millis(1), ServeKind::Hit, 0, 0, false, false);
+        collector.record_frame(
+            Duration::from_millis(1),
+            ServeKind::Miss,
+            0,
+            work(1),
+            false,
+            true,
+        );
+        collector.record_frame(
+            Duration::from_millis(1),
+            ServeKind::Hit,
+            0,
+            FitWork::NONE,
+            false,
+            false,
+        );
         collector.record_shed();
         collector.record_shed();
         let stats = collector.snapshot();
@@ -355,6 +432,7 @@ mod tests {
         assert_eq!(stats.mean_latency(), Duration::ZERO);
         assert_eq!(stats.cache_bytes, 0);
         assert_eq!(stats.fit_evaluations, 0);
+        assert_eq!(stats.coarsenings, 0);
         assert_eq!(stats.deadline_degraded, 0);
         assert_eq!(stats.sheds, 0);
         assert_eq!(stats.poison_recoveries, 0);

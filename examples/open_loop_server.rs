@@ -9,7 +9,7 @@
 //! versus dynamic range, Figure 7 of the paper), installs the fitted curve
 //! into the engine, and then serves every cache miss with **one** fit
 //! evaluation — a characteristic lookup — instead of the closed-loop
-//! bisection's ~8. Three safety nets keep the distortion contract honest
+//! search's 9. Three safety nets keep the distortion contract honest
 //! while traffic drifts:
 //!
 //! 1. a per-frame drift check re-serves any over-budget open-loop fit
@@ -126,7 +126,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.cache_hit_rate() * 100.0
     );
     println!(
-        "fit evaluations: {} over {} misses ({:.2} per miss; a closed-loop engine runs ~8)",
+        "fit evaluations: {} over {} misses ({:.2} per miss; a closed-loop engine runs 9)",
         stats.fit_evaluations,
         stats.cache_misses,
         stats.fit_evaluations as f64 / stats.cache_misses.max(1) as f64,

@@ -386,7 +386,7 @@ fn fits_are_shared_across_budgets_within_a_band() {
 
 /// Regression for the open-loop miss path: with a seeded characteristic,
 /// every cache miss costs at most **one** fit evaluation (the closed-loop
-/// bisection costs ~8), no drift fallback fires on the traffic the curve
+/// search costs 9), no drift fallback fires on the traffic the curve
 /// was characterized on, and the distortion contract still holds.
 #[test]
 fn open_loop_misses_cost_at_most_one_fit_evaluation() {
